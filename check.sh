@@ -103,13 +103,15 @@ PROPTEST_CASES=16 cargo test -q --release -p rheem-server --test cancellation
 
 # Server load generator, quick mode: closed-loop multi-tenant run that
 # asserts fair-share wave interleaving, a nonzero plan-cache hit rate,
-# byte-identical cached outputs, and post-cancel-storm serviceability
-# inline; then sanity-check the emitted BENCH_server.json schema.
+# byte-identical cached outputs, post-cancel-storm serviceability, and at
+# least one cancel probe caught in flight inline; then sanity-check the
+# emitted BENCH_server.json schema.
 echo "==> ablation_server (SERVER_BENCH_QUICK=1) + schema check"
 SERVER_BENCH_QUICK=1 cargo bench -q -p rheem-bench --bench ablation_server
 for key in '"bench": "ablation_server"' '"tenants": 2' '"throughput_rps"' \
     '"p50"' '"p99"' '"per_tenant"' '"grant_switches"' '"hit_rate"' \
-    '"cancel_storm"' '"shed_deadline"' '"outputs_match": true'; do
+    '"cancel_storm"' '"shed_deadline"' '"cancel_to_return_ms"' \
+    '"outputs_match": true'; do
   grep -qF "$key" BENCH_server.json \
     || { echo "BENCH_server.json missing $key"; exit 1; }
 done

@@ -17,7 +17,9 @@
 //!    requests (shed in the admission queue) while a second connection
 //!    spams `CANCEL`; the storm's shed/cancelled/completed counts and the
 //!    survivors' p99 are recorded, and the server must stay fully
-//!    serviceable afterwards.
+//!    serviceable afterwards. Cancel probes then time *cancel-to-return*:
+//!    a `CANCEL` sent once a long query is seen in flight, until that
+//!    query's error reply arrives.
 //!
 //! `SERVER_BENCH_QUICK=1` trims the request count for CI.
 
@@ -81,6 +83,73 @@ struct StormReport {
     cancelled: u64,
     completed: usize,
     p99_ms: f64,
+    /// Sorted cancel-to-return latencies of the probes that were
+    /// cancelled in flight.
+    cancel_to_return_ms: Vec<f64>,
+}
+
+/// The requesting tenant's in-flight job ids, parsed off a `STATS` reply.
+fn inflight_ids(stats: &str, tenant: &str) -> Vec<u64> {
+    let prefix = format!("server.tenant.{tenant}.inflight_ids [");
+    stats
+        .lines()
+        .find_map(|line| line.strip_prefix(prefix.as_str()))
+        .and_then(|rest| rest.strip_suffix(']'))
+        .map(|ids| ids.split(',').filter_map(|id| id.parse().ok()).collect())
+        .unwrap_or_default()
+}
+
+/// Time `trials` explicit cancels: a prober session runs a long query
+/// while a second session of the same tenant polls `STATS` until the
+/// job shows up in flight, then sends `CANCEL` for it. The sample is the
+/// time from just before that `CANCEL` is written until the prober's
+/// error reply is back. Trials whose query finished first are dropped.
+fn cancel_probes(addr: std::net::SocketAddr, rows: i64, trials: usize) -> Vec<f64> {
+    let tenant = "storm";
+    let mut prober = Client::connect(addr, tenant).expect("connect prober");
+    prober
+        .register("orders", table_schema(), table_rows(3, rows))
+        .expect("register");
+    let mut control = Client::connect(addr, tenant).expect("connect control");
+    let mut samples = Vec::with_capacity(trials);
+    for _ in 0..trials {
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let (outcome, returned, cancel_sent) = std::thread::scope(|s| {
+            let query = s.spawn(|| {
+                let outcome = prober.query(STATEMENTS[0]);
+                let returned = Instant::now();
+                done.store(true, std::sync::atomic::Ordering::SeqCst);
+                (outcome, returned)
+            });
+            let mut cancel_sent = None;
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let stats = control.stats().expect("stats");
+                if let Some(&id) = inflight_ids(&stats, tenant).first() {
+                    cancel_sent = Some(Instant::now());
+                    control.cancel(id).expect("cancel");
+                    break;
+                }
+            }
+            let (outcome, returned) = query.join().unwrap();
+            (outcome, returned, cancel_sent)
+        });
+        match (outcome, cancel_sent) {
+            (Err(err), Some(sent)) => {
+                let message = err.to_string();
+                assert!(
+                    message.contains("cancelled"),
+                    "probe failed for a non-cancel reason: {message}"
+                );
+                samples.push(returned.duration_since(sent).as_secs_f64() * 1e3);
+            }
+            (Err(err), None) => panic!("uncancelled probe failed: {err}"),
+            (Ok(_), _) => {} // finished before the cancel landed
+        }
+    }
+    prober.goodbye().expect("goodbye");
+    control.goodbye().expect("goodbye");
+    samples.sort_by(|a, b| a.total_cmp(b));
+    samples
 }
 
 fn main() {
@@ -222,12 +291,19 @@ fn main() {
         let cancelled = metrics.counter_value("server.jobs.cancelled") - cancelled_before;
         assert!(shed_deadline >= 1, "zero-deadline requests never shed");
         survivors.sort_by(|a, b| a.total_cmp(b));
+        let (probe_rows, probe_trials) = if quick { (50_000, 8) } else { (100_000, 40) };
+        let cancel_to_return_ms = cancel_probes(addr, probe_rows, probe_trials);
+        assert!(
+            !cancel_to_return_ms.is_empty(),
+            "no cancel probe was caught in flight"
+        );
         StormReport {
             requests: storm_requests,
             shed_deadline,
             cancelled,
             completed,
             p99_ms: percentile(&survivors, 0.99),
+            cancel_to_return_ms,
         }
     };
 
@@ -293,6 +369,13 @@ fn main() {
          survivor p99 {:.2} ms",
         storm.requests, storm.shed_deadline, storm.cancelled, storm.completed, storm.p99_ms
     );
+    let cancel_p50 = percentile(&storm.cancel_to_return_ms, 0.50);
+    let cancel_p99 = percentile(&storm.cancel_to_return_ms, 0.99);
+    eprintln!(
+        "cancel probes: {} cancelled in flight, cancel-to-return p50 {cancel_p50:.3} ms, \
+         p99 {cancel_p99:.3} ms",
+        storm.cancel_to_return_ms.len()
+    );
 
     let stamp = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -319,7 +402,8 @@ fn main() {
          outputs_match asserts cached-plan rows are byte-identical to the cold run \
          on the canonical wire encoding; cancel_storm drives a zero-deadline plus \
          CANCEL-spam storm at a third tenant and records shed/cancelled counts and \
-         the survivors' p99\",\n  \
+         the survivors' p99; cancel_to_return_ms times an explicit CANCEL of a long \
+         in-flight query until its error reply arrives\",\n  \
          \"tenants\": {},\n  \"requests_total\": {requests_total},\n  \
          \"wall_ms\": {wall_ms:.1},\n  \"throughput_rps\": {throughput_rps:.2},\n  \
          \"latency_ms\": {{\"p50\": {p50:.3}, \"p99\": {p99:.3}}},\n  \
@@ -328,7 +412,9 @@ fn main() {
          \"plan_cache\": {{\"hits\": {}, \"misses\": {}, \"invalidations\": {}, \
          \"hit_rate\": {hit_rate:.4}}},\n  \
          \"cancel_storm\": {{\"requests\": {}, \"shed_deadline\": {}, \"cancelled\": {}, \
-         \"completed\": {}, \"p99_ms\": {:.3}}},\n  \"outputs_match\": {outputs_match}\n}}\n",
+         \"completed\": {}, \"p99_ms\": {:.3}, \"cancel_to_return_ms\": {{\"p50\": \
+         {cancel_p50:.3}, \"p99\": {cancel_p99:.3}, \"samples\": {}}}}},\n  \
+         \"outputs_match\": {outputs_match}\n}}\n",
         std::env::consts::OS,
         std::env::consts::ARCH,
         tenants.len(),
@@ -342,6 +428,7 @@ fn main() {
         storm.cancelled,
         storm.completed,
         storm.p99_ms,
+        storm.cancel_to_return_ms.len(),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_server.json");
     std::fs::write(path, &json).expect("write BENCH_server.json");

@@ -20,6 +20,9 @@ impl Client {
     /// Connect and open a session as `tenant`.
     pub fn connect(addr: impl ToSocketAddrs, tenant: &str) -> WireResult<Self> {
         let stream = TcpStream::connect(addr)?;
+        // Request/response over small frames: without nodelay, Nagle holds
+        // each request until the server's delayed ACK fires.
+        stream.set_nodelay(true)?;
         let mut client = Client { stream };
         match client.call(&Request::Hello {
             tenant: tenant.to_string(),

@@ -416,7 +416,10 @@ impl Response {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame (length prefix + body) to a stream.
+/// Write one frame (length prefix + body) to a stream with a single
+/// `write_all`. Prefix and body leave in one buffer so a peer without
+/// `TCP_NODELAY` never holds back the body behind a lone 4-byte segment
+/// (Nagle waiting out the peer's delayed ACK).
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
     if body.len() > MAX_FRAME {
         return Err(WireError::Malformed(format!(
@@ -424,8 +427,10 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> WireResult<()> {
             body.len()
         )));
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&(body.len() as u32).to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -536,6 +541,65 @@ mod tests {
             read_frame(&mut hostile),
             Err(WireError::Malformed(_))
         ));
+    }
+
+    /// A `Write` that accepts everything and counts `write` calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_frame_issues_one_write_per_frame() {
+        let bodies = [
+            Request::Stats.encode(),
+            Response::Rows {
+                schema: Schema::new(vec![("n", DataType::Int)]),
+                rows: (0..1000)
+                    .map(|i| Record::new(vec![Value::Int(i)]))
+                    .collect(),
+            }
+            .encode(),
+            Vec::new(),
+        ];
+        for body in &bodies {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, body).unwrap();
+            assert_eq!(
+                w.writes,
+                1,
+                "{}-byte body took {} writes",
+                body.len(),
+                w.writes
+            );
+            assert_eq!(&w.bytes[..4], &(body.len() as u32).to_be_bytes());
+            assert_eq!(&w.bytes[4..], &body[..]);
+        }
+    }
+
+    #[test]
+    fn oversize_body_is_rejected_before_any_byte_is_written() {
+        let body = vec![0u8; MAX_FRAME + 1];
+        let mut w = CountingWriter::default();
+        assert!(matches!(
+            write_frame(&mut w, &body),
+            Err(WireError::Malformed(_))
+        ));
+        assert_eq!(w.writes, 0);
+        assert!(w.bytes.is_empty());
     }
 
     #[test]

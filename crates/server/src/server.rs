@@ -33,7 +33,10 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 use rheem_core::query::{PlannedQuery, QueryCatalog};
-use rheem_core::{CancelReason, Observability, PlanCache, PlanCacheConfig, RheemContext};
+use rheem_core::{
+    CancelReason, Dataset, KernelParallelism, Observability, PlanCache, PlanCacheConfig,
+    RheemContext,
+};
 
 use crate::protocol::{read_frame, write_frame, Request, Response, WireError, WireResult};
 use crate::scheduler::{FairShareScheduler, JobGate};
@@ -57,6 +60,9 @@ pub struct ServerConfig {
     /// Admission control and worker pool sizing.
     pub service: ServiceConfig,
     /// Concurrent wave slots shared by all jobs (fair-share granularity).
+    /// Also divides the host's kernel thread budget: each job's kernels
+    /// get `1 / wave_slots` of it, so concurrent waves never
+    /// oversubscribe the CPUs.
     pub wave_slots: usize,
     /// Plan cache sizing and drift threshold.
     pub cache: PlanCacheConfig,
@@ -114,7 +120,11 @@ impl RheemServer {
         let plan_cache = Arc::new(PlanCache::new(config.cache));
         let scheduler = FairShareScheduler::new(config.wave_slots);
         let service = JobService::start(config.service.clone(), observability.metrics().clone());
-        let base = rheem_platforms::full_context().with_observability(observability.clone());
+        // `wave_slots × kernel threads ≤ host kernel budget`: the executor's
+        // rule for concurrent atoms, applied across concurrent jobs.
+        let base = rheem_platforms::full_context()
+            .with_observability(observability.clone())
+            .with_kernel_parallelism(KernelParallelism::default().share(config.wave_slots));
         let shared = Arc::new(ServerShared {
             base,
             observability,
@@ -222,6 +232,9 @@ fn run_session(shared: &ServerShared, mut stream: TcpStream) -> WireResult<()> {
         .session_streams
         .lock()
         .push(stream.try_clone().map_err(WireError::Io)?);
+    // Small request/response frames: without nodelay, Nagle holds each
+    // reply until the client's delayed ACK fires.
+    stream.set_nodelay(true).map_err(WireError::Io)?;
     // Reads tick at `READ_TICK` so [`read_frame_idle`] can tell "no
     // request started within the idle timeout" (idleness, judged at frame
     // boundaries) from "slow peer mid-frame" (activity — never evicted).
@@ -493,11 +506,11 @@ fn handle_query(
         if let Some(remaining) = run.remaining {
             job_ctx = job_ctx.with_timeout(remaining);
         }
-        let job = job_ctx.execute_logical(&job_planned.logical)?;
+        let mut job = job_ctx.execute_logical(&job_planned.logical)?;
         let rows = job
             .outputs
-            .get(&job_planned.sink)
-            .map(|d| d.records().to_vec())
+            .remove(&job_planned.sink)
+            .map(Dataset::into_records)
             .unwrap_or_default();
         Ok::<_, rheem_core::RheemError>(rows)
     });

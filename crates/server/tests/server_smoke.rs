@@ -1,7 +1,11 @@
 //! End-to-end smoke test: start a server, run two concurrent tenant
 //! sessions against it over real sockets, and shut it down cleanly.
 
-use rheem_core::{DataType, PlanCacheConfig, Record, Schema, Value};
+use std::time::{Duration, Instant};
+
+use rheem_core::query::QueryCatalog;
+use rheem_core::{DataType, KernelParallelism, PlanCacheConfig, Record, Schema, Value};
+use rheem_server::protocol::encode_rows;
 use rheem_server::{Client, RheemServer, ServerConfig};
 
 fn sales_schema() -> Schema {
@@ -117,4 +121,76 @@ fn malformed_and_unadmitted_requests_get_clean_errors() {
     client.goodbye().expect("goodbye");
 
     handle.shutdown();
+}
+
+#[test]
+fn back_to_back_round_trips_do_not_stall_on_the_transport() {
+    // A Nagle/delayed-ACK stall costs >= 40 ms per round trip; a healthy
+    // loopback STATS round trip is well under a millisecond.
+    let mut handle = RheemServer::start(ServerConfig::default()).expect("server starts");
+    let mut client = Client::connect(handle.addr(), "delta").expect("connect");
+    let mut samples: Vec<Duration> = (0..50)
+        .map(|_| {
+            let t = Instant::now();
+            client.stats().expect("stats");
+            t.elapsed()
+        })
+        .collect();
+    samples.sort();
+    let median = samples[samples.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median STATS round trip {median:?} (transport stall?)"
+    );
+    client.goodbye().expect("goodbye");
+    handle.shutdown();
+}
+
+#[test]
+fn concurrent_wave_slots_share_the_kernel_thread_budget() {
+    // With one wave slot per kernel thread, every job's share of the
+    // budget is a single thread: kernels that would go morsel-parallel
+    // at the default budget run sequentially, with identical rows.
+    let host_threads = KernelParallelism::default().threads;
+    let config = ServerConfig {
+        wave_slots: host_threads,
+        ..ServerConfig::default()
+    };
+    let mut handle = RheemServer::start(config).expect("server starts");
+    let schema = Schema::new(vec![("k", DataType::Int), ("v", DataType::Int)]);
+    let rows: Vec<Record> = (0..20_000)
+        .map(|i| Record::new(vec![Value::Int(i % 97), Value::Int(i)]))
+        .collect();
+    let sql = "SELECT k, v FROM big WHERE v > 10";
+
+    let mut client = Client::connect(handle.addr(), "epsilon").expect("connect");
+    client
+        .register("big", schema.clone(), rows.clone())
+        .expect("register");
+    let metrics = handle.observability().metrics().clone();
+    let parallel_before = metrics.counter_value("kernel.parallel.invocations");
+    let sequential_before = metrics.counter_value("kernel.parallel.sequential");
+    let (_, served) = client.query(sql).expect("query");
+    assert_eq!(
+        metrics.counter_value("kernel.parallel.invocations"),
+        parallel_before,
+        "a kernel ran morsel-parallel inside a 1-thread share"
+    );
+    assert!(metrics.counter_value("kernel.parallel.sequential") > sequential_before);
+    client.goodbye().expect("goodbye");
+    handle.shutdown();
+
+    let mut catalog = QueryCatalog::new();
+    catalog.register("big", schema, rows);
+    let planned = catalog.plan(sql).expect("plan");
+    let mut job = rheem_platforms::full_context()
+        .execute_logical(&planned.logical)
+        .expect("direct run");
+    let direct = job
+        .outputs
+        .remove(&planned.sink)
+        .expect("sink output")
+        .into_records();
+    assert_eq!(served.len(), 19_989);
+    assert_eq!(encode_rows(&served), encode_rows(&direct));
 }
