@@ -7,9 +7,9 @@
 //!    enumerator's chosen cost equals the exhaustive optimum exactly
 //!    (`costs_match` per entry), while visiting polynomially many states
 //!    where the oracle visits `platforms^nodes`.
-//! 2. A 120-operator plan enumerates on the lattice path within the
-//!    default expansion budget (`within_budget` on the `large` entry) —
-//!    the shape that motivates chain contraction in the first place.
+//! 2. A 120-operator plan enumerates exactly, never reaching the frontier
+//!    cap (`within_budget` on the `large` entry) — the shape that
+//!    motivates chain contraction in the first place.
 //!
 //! `ENUM_BENCH_QUICK=1` trims the sweep and iteration count for CI.
 
@@ -17,11 +17,11 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rheem_core::data::Record;
-use rheem_core::optimizer::enumerate_with_config;
+use rheem_core::optimizer::enumerate_v2;
 use rheem_core::plan::{NodeId, PhysicalPlan, PlanBuilder};
 use rheem_core::rec;
 use rheem_core::udf::{FilterUdf, GroupMapUdf, KeyUdf, MapUdf};
-use rheem_core::{enumerate_exhaustive, EnumerationConfig, EnumerationPath, EnumerationStrategy};
+use rheem_core::{enumerate_exhaustive, EnumerationConfig, EnumerationPath};
 use rheem_platforms::test_context;
 
 /// Time `f` over `iters` runs; return best milliseconds.
@@ -84,7 +84,7 @@ fn bushy_plan(width: usize) -> PhysicalPlan {
     b.build().unwrap()
 }
 
-/// The budget showcase: `branches` long map chains (ending in a group-by)
+/// The scale showcase: `branches` long map chains (ending in a group-by)
 /// merged into one sink — 120+ operators.
 fn large_plan(branches: usize, chain_len: usize) -> PhysicalPlan {
     let mut b = PlanBuilder::new();
@@ -152,10 +152,7 @@ fn main() {
     let ctx = test_context();
     let opt = ctx.optimizer();
     let movement = opt.movement.channelized(ctx.platforms());
-    let config = EnumerationConfig {
-        strategy: EnumerationStrategy::LatticeV2,
-        ..EnumerationConfig::default()
-    };
+    let config = EnumerationConfig::default();
 
     let mut entries: Vec<Entry> = Vec::new();
 
@@ -186,7 +183,7 @@ fn main() {
         });
         let arc = Arc::new(plan);
         let (v2_ms, exec) = time_best(iters.max(2), || {
-            enumerate_with_config(
+            enumerate_v2(
                 arc.clone(),
                 ctx.platforms(),
                 &opt.estimator,
@@ -196,7 +193,7 @@ fn main() {
             )
             .expect("v2 enumerates")
         });
-        assert_eq!(exec.enumeration.path, EnumerationPath::LatticeV2);
+        assert_eq!(exec.enumeration.path, EnumerationPath::Lattice);
         let tol = 1e-9 * oracle_cost.max(1.0);
         let costs_match = (exec.estimated_cost - oracle_cost).abs() <= tol;
         assert!(
@@ -218,18 +215,18 @@ fn main() {
             v2_cost: exec.estimated_cost,
             costs_match,
             expansions: exec.enumeration.expansions,
-            within_budget: exec.enumeration.expansions <= config.max_expansions,
+            within_budget: exec.enumeration.path == EnumerationPath::Lattice,
         });
     }
 
-    // The 120-operator plan: far past the oracle, must stay on the
-    // lattice path (no greedy fallback) under the default budget.
+    // The 120-operator plan: far past the oracle, must stay exact (its
+    // frontier never reaches the cap).
     let plan = large_plan(10, 10);
     let nodes = plan.len();
     assert!(nodes >= 120, "large plan has {nodes} nodes");
     let arc = Arc::new(plan);
     let (v2_ms, exec) = time_best(iters.max(2), || {
-        enumerate_with_config(
+        enumerate_v2(
             arc.clone(),
             ctx.platforms(),
             &opt.estimator,
@@ -239,15 +236,14 @@ fn main() {
         )
         .expect("v2 enumerates the large plan")
     });
-    let within_budget = exec.enumeration.path == EnumerationPath::LatticeV2
-        && exec.enumeration.expansions <= config.max_expansions;
+    let within_budget = exec.enumeration.path == EnumerationPath::Lattice;
     assert!(
         within_budget,
-        "large plan fell off the lattice path: {:?} after {} expansions",
+        "large plan hit the frontier cap: {:?} after {} expansions",
         exec.enumeration.path, exec.enumeration.expansions
     );
     eprintln!(
-        "large nodes={nodes}: v2 {v2_ms:.3} ms, {} expansions, within budget",
+        "large nodes={nodes}: v2 {v2_ms:.3} ms, {} expansions, never capped",
         exec.enumeration.expansions
     );
     entries.push(Entry {
@@ -279,7 +275,7 @@ fn main() {
          \"oracle_ms/oracle_cost are -1 on the large entry (the exhaustive sweep is \
          exponential and not run past 12 nodes); costs_match asserts the v2 optimum \
          equals the oracle optimum on every small plan; within_budget asserts the \
-         120-op plan stayed on the lattice path under the default expansion budget\",\
+         search was never frontier-capped (exact), which the 120-op plan must meet\",\
          \n  \"entries\": [\n{}\n  ]\n}}\n",
         std::env::consts::OS,
         std::env::consts::ARCH,

@@ -181,9 +181,9 @@ pub struct ExecutionStats {
     /// times the unexecuted suffix was re-routed around a failed
     /// platform. `0` unless failover triggered.
     pub failovers: usize,
-    /// Which enumeration algorithm produced the executed plan (copied from
-    /// [`crate::plan::ExecutionPlan::enumeration`]). `Greedy` for plans
-    /// built by the classic DP.
+    /// How enumeration of the executed plan ended (copied from
+    /// [`crate::plan::ExecutionPlan::enumeration`]); `explain` mentions it
+    /// only when the frontier was capped.
     pub enumeration_path: crate::plan::EnumerationPath,
 }
 
@@ -240,7 +240,7 @@ impl ExecutionStats {
             self.replans,
             self.failovers,
         ));
-        if self.enumeration_path != crate::plan::EnumerationPath::Greedy {
+        if self.enumeration_path == crate::plan::EnumerationPath::FrontierCapped {
             s.push_str(&format!("enumeration: {}\n", self.enumeration_path));
         }
         s

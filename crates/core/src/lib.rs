@@ -68,8 +68,8 @@ pub use observe::{
     RingBufferSink, SpanKind, SpanRecord, TraceSink,
 };
 pub use optimizer::{
-    assignment_cost, enumerate_exhaustive, EnumerationConfig, EnumerationStrategy,
-    MultiPlatformOptimizer, PlanCache, PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
+    assignment_cost, enumerate_exhaustive, EnumerationConfig, MultiPlatformOptimizer, PlanCache,
+    PlanCacheConfig, PlanCacheStats, ReplanPolicy, Replanner,
 };
 pub use physical::{CustomPhysicalOp, OpKind, PhysicalOp};
 pub use plan::{

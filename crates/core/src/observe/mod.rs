@@ -425,10 +425,10 @@ impl ProgressListener for Observability {
                 morsels: 0,
             });
         }
-        // Record non-default enumeration paths (lattice v2 / its greedy
-        // fallback) as a span, so traces show *how* the executed plan was
-        // found. Skipped by `canonical_tree`, like replan/failover spans.
-        if stats.enumeration_path != crate::plan::EnumerationPath::Greedy {
+        // Record a frontier-capped enumeration as a span, so traces show
+        // the executed plan may not be the optimum. Skipped by
+        // `canonical_tree`, like replan/failover spans.
+        if stats.enumeration_path == crate::plan::EnumerationPath::FrontierCapped {
             self.emit(SpanRecord {
                 id: self.alloc_span(),
                 parent: Some(job_id),

@@ -21,8 +21,8 @@ pub enum SpanKind {
     Wave,
     /// One mid-job re-optimization of the unexecuted suffix.
     Replan,
-    /// How the executed plan was enumerated when not by the default
-    /// greedy DP (lattice v2 or its budget-exhausted greedy fallback).
+    /// The executed plan came from a frontier-capped (possibly
+    /// sub-optimal) enumeration.
     Enumeration,
     /// One failover re-plan around a failed platform.
     Failover,

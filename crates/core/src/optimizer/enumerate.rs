@@ -1,45 +1,21 @@
-//! Platform assignment and task-atom splitting — the heart of the
-//! multi-platform task optimizer (§4.2).
+//! Shared pieces of platform assignment (§4.2): the enumeration knobs,
+//! per-operator costing, and task-atom splitting.
 //!
-//! Given a physical plan and the registered platforms, the enumerator
-//! chooses a platform per node by dynamic programming over the DAG in
-//! topological order:
-//!
-//! ```text
-//! best(n, p) = opCost(n, p)
-//!            + switch(p) ⋅ startup(p)                    (approximation of per-atom startup)
-//!            + Σ_inputs min_{p'} ( best(in, p') + move(p' → p, |in|) )
-//! ```
-//!
-//! The recurrence is exact on trees and a documented approximation on
-//! shared sub-DAGs (a shared producer's cost is counted once per consumer;
-//! the backtracking step keeps a single consistent assignment). Loops are
-//! costed as `expected_iterations × body-cost-on-p`, with the whole body
-//! pinned to one platform — matching how the paper's Figure 2 runs an
-//! entire SVM loop either "as a Spark job" or "as a plain Java program".
+//! The search itself lives in [`mod@super::enumerate_v2`]; this module holds
+//! what it, the exhaustive test oracle, and hand-built plans share:
+//! [`EnumerationConfig`], `node_cost` (loops are costed as
+//! `expected_iterations × body-cost-on-p`, with the whole body pinned to one
+//! platform — matching how the paper's Figure 2 runs an entire SVM loop
+//! either "as a Spark job" or "as a plain Java program"), and
+//! [`split_into_atoms`].
 
 use std::collections::HashSet;
 
-use crate::cost::{calibrated_op_cost, CardinalityEstimator, MovementCostModel};
-use crate::error::{Result, RheemError};
+use crate::cost::{calibrated_op_cost, CardinalityEstimator};
+use crate::error::Result;
 use crate::observe::CostCalibration;
 use crate::physical::PhysicalOp;
-use crate::plan::{AtomInput, ExecutionPlan, NodeEstimate, NodeId, PhysicalPlan, TaskAtom};
-use crate::platform::PlatformRegistry;
-use std::sync::Arc;
-
-/// Which enumeration algorithm the optimizer runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum EnumerationStrategy {
-    /// The original greedy DP (`enumerate`): exact on trees, documented
-    /// double-count approximation on shared sub-DAGs.
-    #[default]
-    Greedy,
-    /// The subplan-lattice enumerator (`enumerate_v2`): chain contraction,
-    /// channel-aware movement, lossless frontier pruning; falls back to
-    /// Greedy when the expansion/time budget is exhausted.
-    LatticeV2,
-}
+use crate::plan::{AtomInput, NodeId, PhysicalPlan, TaskAtom};
 
 /// Tuning knobs for the enumerator (several exist purely so the paper's
 /// ablation benchmarks can switch behaviours off).
@@ -53,18 +29,9 @@ pub struct EnumerationConfig {
     pub consider_movement_costs: bool,
     /// Platforms removed from the search entirely. Failover re-planning
     /// excludes failed platforms this way; an exclusion that leaves some
-    /// operator unmappable surfaces as [`RheemError::NoPlatformFor`].
+    /// operator unmappable surfaces as
+    /// [`RheemError::NoPlatformFor`](crate::error::RheemError::NoPlatformFor).
     pub excluded_platforms: Vec<String>,
-    /// Algorithm selection; defaults to the greedy DP so existing plans
-    /// (and golden explains) are byte-identical unless v2 is opted into.
-    pub strategy: EnumerationStrategy,
-    /// Lattice-state expansion budget for `LatticeV2`. Exhausting it
-    /// degrades deterministically to the greedy DP, recorded as
-    /// [`crate::plan::EnumerationPath::GreedyFallback`].
-    pub max_expansions: usize,
-    /// Optional wall-clock budget (milliseconds) for `LatticeV2`; `None`
-    /// leaves only the deterministic expansion budget in force.
-    pub max_enumeration_ms: Option<u64>,
 }
 
 impl Default for EnumerationConfig {
@@ -73,179 +40,8 @@ impl Default for EnumerationConfig {
             forced_platform: None,
             consider_movement_costs: true,
             excluded_platforms: Vec::new(),
-            strategy: EnumerationStrategy::Greedy,
-            max_expansions: 200_000,
-            max_enumeration_ms: None,
         }
     }
-}
-
-/// Assign platforms to every node and split the plan into task atoms.
-///
-/// `calibration` scales each platform's static operator cost by the EMA of
-/// previously observed/estimated ratios (1.0 when nothing was observed),
-/// closing the feedback loop described in `observe::calibrate`.
-pub fn enumerate(
-    plan: Arc<PhysicalPlan>,
-    registry: &PlatformRegistry,
-    estimator: &CardinalityEstimator,
-    movement: &MovementCostModel,
-    config: &EnumerationConfig,
-    calibration: &CostCalibration,
-) -> Result<ExecutionPlan> {
-    if registry.is_empty() {
-        return Err(RheemError::Optimizer("no platforms registered".into()));
-    }
-    let mut platforms: Vec<_> = match &config.forced_platform {
-        Some(name) => vec![registry.get(name)?],
-        None => registry.all().to_vec(),
-    };
-    platforms.retain(|p| !config.excluded_platforms.iter().any(|x| x == p.name()));
-    if platforms.is_empty() {
-        return Err(RheemError::Optimizer(
-            "every registered platform is excluded from enumeration".into(),
-        ));
-    }
-    let free_movement = MovementCostModel::free();
-    let movement = if config.consider_movement_costs {
-        movement
-    } else {
-        &free_movement
-    };
-
-    let cards = estimator.estimate(&plan)?;
-    let n_nodes = plan.len();
-    let n_plats = platforms.len();
-    const INF: f64 = f64::INFINITY;
-
-    // best[node][platform], choice[node][platform][slot] = platform index of input.
-    let mut best = vec![vec![INF; n_plats]; n_nodes];
-    let mut choice: Vec<Vec<Vec<usize>>> = vec![Vec::new(); n_nodes];
-
-    for node in plan.nodes() {
-        let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
-        let out = cards[node.id.0];
-        choice[node.id.0] = vec![vec![0; node.inputs.len()]; n_plats];
-        for (pi, platform) in platforms.iter().enumerate() {
-            if !supports_deep(platform.as_ref(), &node.op) {
-                continue;
-            }
-            let model = platform.cost_model();
-            let mut cost = node_cost(
-                &node.op,
-                &ins,
-                out,
-                platform.as_ref(),
-                estimator,
-                calibration,
-            )?;
-            // Approximate the per-atom startup: a source node or an incoming
-            // platform switch opens a (new) atom on this platform.
-            if node.inputs.is_empty() {
-                cost += model.atom_startup_cost();
-            }
-            let mut feasible = true;
-            for (slot, input) in node.inputs.iter().enumerate() {
-                let mut best_in = INF;
-                let mut best_pi = 0;
-                for (qi, q) in platforms.iter().enumerate() {
-                    let upstream = best[input.0][qi];
-                    if !upstream.is_finite() {
-                        continue;
-                    }
-                    let mut edge = movement.cost(q.name(), platform.name(), cards[input.0]);
-                    if qi != pi {
-                        edge += model.atom_startup_cost();
-                    }
-                    let total = upstream + edge;
-                    if total < best_in {
-                        best_in = total;
-                        best_pi = qi;
-                    }
-                }
-                if !best_in.is_finite() {
-                    feasible = false;
-                    break;
-                }
-                cost += best_in;
-                choice[node.id.0][pi][slot] = best_pi;
-            }
-            if feasible {
-                best[node.id.0][pi] = cost;
-            }
-        }
-        if best[node.id.0].iter().all(|c| !c.is_finite()) {
-            return Err(RheemError::NoPlatformFor {
-                op: node.op.name(),
-                node: node.id,
-            });
-        }
-    }
-
-    // Backtrack from the terminals, fixing one platform per node. Nodes
-    // reached through several consumers keep their first assignment.
-    let mut assignment: Vec<Option<usize>> = vec![None; n_nodes];
-    let mut total_cost = 0.0;
-    let mut stack: Vec<(NodeId, usize)> = Vec::new();
-    for t in plan.terminals() {
-        let (pi, cost) = argmin(&best[t.0]);
-        total_cost += cost;
-        stack.push((t, pi));
-    }
-    while let Some((node, pi)) = stack.pop() {
-        if assignment[node.0].is_some() {
-            continue;
-        }
-        assignment[node.0] = Some(pi);
-        for (slot, input) in plan.node(node).inputs.iter().enumerate() {
-            let qi = choice[node.0][pi][slot];
-            stack.push((*input, qi));
-        }
-    }
-
-    let assignments: Vec<String> = assignment
-        .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let pi = a.unwrap_or_else(|| argmin(&best[i]).0);
-            platforms[pi].name().to_string()
-        })
-        .collect();
-
-    // Record the per-node predictions (cost on the assigned platform and
-    // cardinality) so the observability layer can compare them against
-    // reality after the run.
-    let mut estimates = Vec::with_capacity(n_nodes);
-    for node in plan.nodes() {
-        let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
-        let assigned = &assignments[node.id.0];
-        let platform = platforms
-            .iter()
-            .find(|p| p.name() == assigned.as_str())
-            .expect("assignment names a considered platform");
-        let cost_ms = node_cost(
-            &node.op,
-            &ins,
-            cards[node.id.0],
-            platform.as_ref(),
-            estimator,
-            calibration,
-        )?;
-        estimates.push(NodeEstimate {
-            cost_ms,
-            card: cards[node.id.0],
-        });
-    }
-
-    let atoms = split_into_atoms(&plan, &assignments);
-    Ok(ExecutionPlan {
-        physical: plan,
-        assignments,
-        atoms,
-        estimated_cost: total_cost,
-        estimates,
-        enumeration: crate::plan::EnumerationInfo::default(),
-    })
 }
 
 /// Cost of one operator on one platform; loops recurse into the body.
@@ -309,16 +105,6 @@ pub(crate) fn supports_deep(platform: &dyn crate::platform::Platform, op: &Physi
         }
         _ => platform.supports(op),
     }
-}
-
-fn argmin(costs: &[f64]) -> (usize, f64) {
-    let mut best = (0usize, f64::INFINITY);
-    for (i, &c) in costs.iter().enumerate() {
-        if c < best.1 {
-            best = (i, c);
-        }
-    }
-    best
 }
 
 /// Group same-platform nodes into maximal acyclic task atoms.

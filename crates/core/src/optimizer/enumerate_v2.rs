@@ -1,8 +1,8 @@
-//! Subplan-lattice enumeration with lossless pruning (v2).
+//! Subplan-lattice enumeration with lossless pruning — the optimizer's
+//! platform-assignment search (§4.2).
 //!
-//! The classic DP in [`super::enumerate`] is exact on trees but counts a
-//! shared producer once per consumer on DAGs. This module implements the
-//! RHEEMix-style enumerator that is exact on arbitrary DAGs while staying
+//! A RHEEMix-style enumerator that is exact on arbitrary DAGs (shared
+//! producers are priced once, not once per consumer) while staying
 //! polynomial on the plans we care about:
 //!
 //! 1. **Chain contraction** — maximal linear operator chains (single
@@ -24,12 +24,13 @@
 //!    conversion graph when platform channel specs are declared (see
 //!    [`MovementCostModel::channelized`]); the chosen conversion routes
 //!    are recorded on the resulting plan's
-//!    [`EnumerationInfo::conversions`].
-//! 4. **Budget** — every `(state, platform)` evaluation counts as one
-//!    expansion; exhausting [`EnumerationConfig::max_expansions`] (or the
-//!    optional wall-clock budget) abandons the lattice deterministically
-//!    and re-runs the greedy DP, recording
-//!    [`EnumerationPath::GreedyFallback`].
+//!    [`EnumerationInfo::conversions`]. Each edge's price matrix is
+//!    computed once per plan, never inside the frontier loop.
+//! 4. **Frontier cap** — a frontier wider than [`MAX_FRONTIER`] keeps only
+//!    its cheapest states (ties broken by boundary key), so the search
+//!    does at most `super-nodes × MAX_FRONTIER × platforms` expansions on
+//!    any plan shape. A capped search is still deterministic but may miss
+//!    the optimum; it is recorded as [`EnumerationPath::FrontierCapped`].
 //!
 //! The objective both this enumerator and the exhaustive oracle minimize
 //! is [`assignment_cost`]:
@@ -39,13 +40,10 @@
 //! + Σ_edges(u→v) [ move(pᵤ → pᵥ, |u|) + (pᵤ ≠ pᵥ ? startup(pᵥ) : 0) ]
 //! ```
 //!
-//! which prices each node once and each edge once — the greedy DP reports
-//! the same figure on trees and over-reports it on shared sub-DAGs (see
-//! `tests/optimizer_invariants.rs`).
+//! which prices each node once and each edge once.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::time::Instant;
 
 use crate::cost::{CardinalityEstimator, MovementCostModel};
 use crate::error::{Result, RheemError};
@@ -56,41 +54,24 @@ use crate::plan::{
 };
 use crate::platform::{Platform, PlatformRegistry};
 
-use super::enumerate::{
-    enumerate, node_cost, split_into_atoms, supports_deep, EnumerationConfig, EnumerationStrategy,
-};
+use super::enumerate::{node_cost, split_into_atoms, supports_deep, EnumerationConfig};
 use super::fuse::contract_chains;
 
 const INF: f64 = f64::INFINITY;
 
-/// Route an enumeration request to the strategy the config selects.
-///
-/// This is the single entry point the optimizer and the re-planner call:
-/// `Greedy` runs the classic DP unchanged (existing plans and golden
-/// explains stay byte-identical), `LatticeV2` runs [`enumerate_v2`] with
-/// its built-in greedy fallback on budget exhaustion.
-pub fn enumerate_with_config(
-    plan: Arc<PhysicalPlan>,
-    registry: &PlatformRegistry,
-    estimator: &CardinalityEstimator,
-    movement: &MovementCostModel,
-    config: &EnumerationConfig,
-    calibration: &CostCalibration,
-) -> Result<ExecutionPlan> {
-    match config.strategy {
-        EnumerationStrategy::Greedy => {
-            enumerate(plan, registry, estimator, movement, config, calibration)
-        }
-        EnumerationStrategy::LatticeV2 => {
-            enumerate_v2(plan, registry, estimator, movement, config, calibration)
-        }
-    }
-}
+/// Most lattice states kept after any search step, which bounds a search at
+/// `super-nodes × MAX_FRONTIER × platforms` expansions. A wider frontier is
+/// cut to its cheapest states (ties broken by boundary key) and the plan is
+/// marked [`EnumerationPath::FrontierCapped`]. The widest frontier of any
+/// test or bench plan is 256 states, so those plans stay exact.
+pub const MAX_FRONTIER: usize = 4096;
 
-/// The subplan-lattice enumerator. See the module docs for the algorithm;
-/// on budget exhaustion this degrades to the greedy DP deterministically
-/// (same output as [`enumerate`]) and marks the plan
-/// [`EnumerationPath::GreedyFallback`].
+/// Assign a platform to every node and split the plan into task atoms.
+///
+/// See the module docs for the algorithm. `calibration` scales each
+/// platform's static operator cost by the EMA of previously observed /
+/// estimated ratios (1.0 when nothing was observed), closing the feedback
+/// loop described in `observe::calibrate`.
 pub fn enumerate_v2(
     plan: Arc<PhysicalPlan>,
     registry: &PlatformRegistry,
@@ -101,21 +82,28 @@ pub fn enumerate_v2(
 ) -> Result<ExecutionPlan> {
     let platforms = considered_platforms(registry, config)?;
     let free_movement = MovementCostModel::free();
-    let priced_movement = if config.consider_movement_costs {
+    let movement = if config.consider_movement_costs {
         movement
     } else {
         &free_movement
     };
     let cards = estimator.estimate(&plan)?;
 
-    // Surface stranded operators as NoPlatformFor before searching: an
-    // exclusion set that leaves some operator unmappable must be a clean
-    // error, not a panic deep in the lattice.
+    // `supported[node][p]`. Surface stranded operators as NoPlatformFor
+    // before searching: an exclusion set that leaves some operator
+    // unmappable must be a clean error, not a panic deep in the lattice.
+    let supported: Vec<Vec<bool>> = plan
+        .nodes()
+        .iter()
+        .map(|node| {
+            platforms
+                .iter()
+                .map(|p| supports_deep(p.as_ref(), &node.op))
+                .collect()
+        })
+        .collect();
     for node in plan.nodes() {
-        if !platforms
-            .iter()
-            .any(|p| supports_deep(p.as_ref(), &node.op))
-        {
+        if !supported[node.id.0].contains(&true) {
             return Err(RheemError::NoPlatformFor {
                 op: node.op.name(),
                 node: node.id,
@@ -123,42 +111,28 @@ pub fn enumerate_v2(
         }
     }
 
-    let mut expansions = 0usize;
-    match lattice_search(
+    let outcome = lattice_search(
         &plan,
         &platforms,
         &cards,
+        &supported,
         estimator,
-        priced_movement,
-        config,
+        movement,
         calibration,
-        &mut expansions,
-    )? {
-        Some(outcome) => finish_v2(
-            plan,
-            &platforms,
-            &cards,
-            outcome,
-            priced_movement,
-            estimator,
-            calibration,
-            expansions,
-        ),
-        None => {
-            // Budget exhausted: degrade to the greedy DP. `enumerate`
-            // re-applies the forced/excluded/movement knobs itself, so pass
-            // the original model through.
-            let mut exec = enumerate(plan, registry, estimator, movement, config, calibration)?;
-            exec.enumeration.path = EnumerationPath::GreedyFallback;
-            exec.enumeration.expansions = expansions;
-            Ok(exec)
-        }
-    }
+    )?;
+    finish_v2(
+        plan,
+        &platforms,
+        &cards,
+        outcome,
+        movement,
+        estimator,
+        calibration,
+    )
 }
 
-/// The platform list the enumerator searches over, after the
-/// forced/excluded knobs — shared with the greedy DP's semantics (and
-/// error messages) so both strategies agree on configuration handling.
+/// The platform list the enumerator (and the exhaustive oracle) searches
+/// over, after the forced/excluded knobs.
 fn considered_platforms(
     registry: &PlatformRegistry,
     config: &EnumerationConfig,
@@ -183,8 +157,6 @@ fn considered_platforms(
 struct SuperNode {
     /// Member nodes in dataflow order (a single element unless contracted).
     nodes: Vec<NodeId>,
-    /// Inputs of the head node (original node ids).
-    head_inputs: Vec<NodeId>,
     /// Super-node index feeding each head input slot.
     producers: Vec<usize>,
     /// Chains (≤ 1 head input) carry the exact `T[q][p]` table;
@@ -193,6 +165,9 @@ struct SuperNode {
     /// `opCost[p]` of the head for multi-input supers (INF when
     /// unsupported).
     op_cost: Vec<f64>,
+    /// Movement into the head for multi-input supers: `edge_in[slot][q][h]`
+    /// prices the slot's producer on `q` feeding the head on `h`.
+    edge_in: Vec<Vec<Vec<f64>>>,
     /// For multi-input heads dragging a linear tail (`nodes.len() > 1`):
     /// the exact table over `nodes[1..]`, rows keyed by the *head*
     /// platform. The head platform is minimized out inside each frontier
@@ -217,23 +192,52 @@ struct LatticeOutcome {
     /// Platform index per original node.
     assignment: Vec<usize>,
     total_cost: f64,
+    /// `(state, platform)` evaluations performed.
+    expansions: usize,
+    /// Whether some step's frontier was cut to [`MAX_FRONTIER`].
+    capped: bool,
 }
 
-/// Run the frontier DP. Returns `Ok(None)` when the expansion or
-/// wall-clock budget was exhausted (callers fall back to the greedy DP);
-/// errors are real failures that would also affect the fallback.
-#[allow(clippy::too_many_arguments)]
+/// `m[q][h]`: movement price of `records` records from platform `q` to `h`.
+/// Pairs where the producer cannot run on `q` (`from[q]` false) or the
+/// consumer cannot run on `h` are never read; they stay `INF` unpriced,
+/// because routing is the dominant cost of enumeration.
+fn movement_matrix(
+    names: &[&str],
+    records: f64,
+    movement: &MovementCostModel,
+    from: &[bool],
+    to: &[bool],
+) -> Vec<Vec<f64>> {
+    names
+        .iter()
+        .zip(from)
+        .map(|(q, &from_ok)| {
+            names
+                .iter()
+                .zip(to)
+                .map(|(h, &to_ok)| {
+                    if from_ok && to_ok {
+                        movement.cost(q, h, records)
+                    } else {
+                        INF
+                    }
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Run the frontier DP over the contracted plan.
 fn lattice_search(
     plan: &PhysicalPlan,
     platforms: &[Arc<dyn Platform>],
     cards: &[f64],
+    supported: &[Vec<bool>],
     estimator: &CardinalityEstimator,
     movement: &MovementCostModel,
-    config: &EnumerationConfig,
     calibration: &CostCalibration,
-    expansions: &mut usize,
-) -> Result<Option<LatticeOutcome>> {
-    let started = Instant::now();
+) -> Result<LatticeOutcome> {
     let n_plats = platforms.len();
     let startup: Vec<f64> = platforms
         .iter()
@@ -252,59 +256,65 @@ fn lattice_search(
     let mut supers: Vec<SuperNode> = Vec::with_capacity(chains.len());
     for chain in &chains {
         let head = plan.node(chain[0]);
-        let head_inputs = head.inputs.clone();
-        let producers: Vec<usize> = head_inputs.iter().map(|i| super_of[i.0]).collect();
-        let is_chain = head_inputs.len() <= 1;
-        let table = if is_chain {
-            Some(chain_table(
+        let producers: Vec<usize> = head.inputs.iter().map(|i| super_of[i.0]).collect();
+        let mut s = SuperNode {
+            nodes: chain.clone(),
+            producers,
+            table: None,
+            op_cost: Vec::new(),
+            edge_in: Vec::new(),
+            tail: None,
+        };
+        if head.inputs.len() <= 1 {
+            s.table = Some(chain_table(
                 plan,
                 chain,
                 platforms,
                 cards,
+                supported,
                 estimator,
                 calibration,
                 &startup,
                 movement,
-            )?)
+            )?);
         } else {
-            None
-        };
-        let (op_cost, tail) = if is_chain {
-            (Vec::new(), None)
-        } else {
-            let node = plan.node(chain[0]);
-            let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
-            let out = cards[node.id.0];
-            let mut costs = vec![INF; n_plats];
+            let ins: Vec<f64> = head.inputs.iter().map(|i| cards[i.0]).collect();
+            let out = cards[head.id.0];
+            s.op_cost = vec![INF; n_plats];
             for (pi, p) in platforms.iter().enumerate() {
-                if supports_deep(p.as_ref(), &node.op) {
-                    costs[pi] = node_cost(&node.op, &ins, out, p.as_ref(), estimator, calibration)?;
+                if supported[head.id.0][pi] {
+                    s.op_cost[pi] =
+                        node_cost(&head.op, &ins, out, p.as_ref(), estimator, calibration)?;
                 }
             }
-            let tail = if chain.len() > 1 {
-                Some(chain_table(
+            s.edge_in = head
+                .inputs
+                .iter()
+                .map(|i| {
+                    movement_matrix(
+                        &names,
+                        cards[i.0],
+                        movement,
+                        &supported[i.0],
+                        &supported[head.id.0],
+                    )
+                })
+                .collect();
+            if chain.len() > 1 {
+                s.tail = Some(chain_table(
                     plan,
                     &chain[1..],
                     platforms,
                     cards,
+                    supported,
                     estimator,
                     calibration,
                     &startup,
                     movement,
-                )?)
-            } else {
-                None
-            };
-            (costs, tail)
-        };
-        supers.push(SuperNode {
-            nodes: chain.clone(),
-            head_inputs,
-            producers,
-            table,
-            op_cost,
-            tail,
-        });
+                )?);
+            }
+        }
+        supers.push(s);
     }
 
     // Unpriced consumer-edge count per super-node: a super-node closes
@@ -339,6 +349,8 @@ fn lattice_search(
     let mut frontier: BTreeMap<Vec<u8>, (f64, u32)> = BTreeMap::new();
     frontier.insert(Vec::new(), (0.0, u32::MAX));
     let mut arena: Vec<(u32, u8)> = Vec::new();
+    let mut expansions = 0usize;
+    let mut capped = false;
 
     for &si in &order {
         let s = &supers[si];
@@ -371,55 +383,43 @@ fn lattice_search(
         }
 
         let mut next: BTreeMap<Vec<u8>, (f64, u32)> = BTreeMap::new();
+        let mut plats: Vec<usize> = Vec::with_capacity(producer_pos.len());
+        let mut new_key: Vec<u8> = Vec::with_capacity(next_open.len());
         for (key, &(cost, bp)) in &frontier {
+            plats.clear();
+            plats.extend(producer_pos.iter().map(|&pos| key[pos] as usize));
+            new_key.clear();
+            new_key.extend(keep_pos.iter().map(|&pos| key[pos]));
             for p in 0..n_plats {
-                *expansions += 1;
-                if *expansions > config.max_expansions {
-                    return Ok(None);
-                }
-                if let Some(limit) = config.max_enumeration_ms {
-                    if (*expansions).is_multiple_of(256)
-                        && started.elapsed().as_millis() as u64 > limit
-                    {
-                        return Ok(None);
-                    }
-                }
+                expansions += 1;
                 let added = match &s.table {
-                    Some(t) => {
-                        let q = match producer_pos.first() {
-                            Some(&pos) => key[pos] as usize,
-                            None => n_plats, // source chain
-                        };
-                        t.cost[q][p]
-                    }
-                    None => {
-                        let plats: Vec<usize> =
-                            producer_pos.iter().map(|&pos| key[pos] as usize).collect();
-                        multi_head_cost(s, &plats, p, &names, cards, &startup, movement).0
-                    }
+                    // A chain's single producer (or the "no producer" row
+                    // of a source chain).
+                    Some(t) => t.cost[plats.first().copied().unwrap_or(n_plats)][p],
+                    None => multi_head_cost(s, &plats, p, &startup).0,
                 };
                 if !added.is_finite() {
                     continue;
                 }
                 let total = cost + added;
-                let mut new_key = Vec::with_capacity(next_open.len());
-                for &pos in &keep_pos {
-                    new_key.push(key[pos]);
-                }
                 if self_open {
+                    new_key.truncate(keep_pos.len());
                     new_key.push(p as u8);
                 }
                 // Lossless pruning: identical boundary keys are
                 // interchangeable for every completion, keep only the
                 // cheapest (first wins on exact ties — deterministic
                 // because states are visited in key order).
-                let improves = match next.get(&new_key) {
-                    Some(&(existing, _)) => total < existing,
-                    None => true,
-                };
-                if improves {
-                    arena.push((bp, p as u8));
-                    next.insert(new_key, (total, (arena.len() - 1) as u32));
+                match next.get_mut(new_key.as_slice()) {
+                    Some(state) if total >= state.0 => {}
+                    Some(state) => {
+                        arena.push((bp, p as u8));
+                        *state = (total, (arena.len() - 1) as u32);
+                    }
+                    None => {
+                        arena.push((bp, p as u8));
+                        next.insert(new_key.clone(), (total, (arena.len() - 1) as u32));
+                    }
                 }
             }
         }
@@ -427,6 +427,16 @@ fn lattice_search(
             return Err(RheemError::Optimizer(
                 "lattice enumeration found no feasible assignment".into(),
             ));
+        }
+        if next.len() > MAX_FRONTIER {
+            // Lossy but deterministic: keep the cheapest states, ties by
+            // key. Any kept state still completes, since every operator
+            // has a supporting platform and movement is always finite.
+            capped = true;
+            let mut states: Vec<_> = next.into_iter().collect();
+            states.sort_by(|(ka, (ca, _)), (kb, (cb, _))| ca.total_cmp(cb).then(ka.cmp(kb)));
+            states.truncate(MAX_FRONTIER);
+            next = states.into_iter().collect();
         }
         frontier = next;
         open = next_open;
@@ -470,7 +480,7 @@ fn lattice_search(
                 // chosen platforms — same iteration order and strict `<`
                 // as the search, so the reconstruction is exact.
                 let plats: Vec<usize> = s.producers.iter().map(|&pr| super_platform[pr]).collect();
-                let (_, h) = multi_head_cost(s, &plats, exit, &names, cards, &startup, movement);
+                let (_, h) = multi_head_cost(s, &plats, exit, &startup);
                 assignment[s.nodes[0].0] = h;
                 if let Some(t) = &s.tail {
                     let kt = s.nodes.len() - 1;
@@ -485,11 +495,13 @@ fn lattice_search(
         }
     }
 
-    Ok(Some(LatticeOutcome {
+    Ok(LatticeOutcome {
         supers,
         assignment,
         total_cost,
-    }))
+        expansions,
+        capped,
+    })
 }
 
 /// Pick a topological visit order over the contracted DAG that keeps the
@@ -561,10 +573,7 @@ fn multi_head_cost(
     s: &SuperNode,
     producer_plats: &[usize],
     p: usize,
-    names: &[&str],
-    cards: &[f64],
     startup: &[f64],
-    movement: &MovementCostModel,
 ) -> (f64, usize) {
     let mut best = INF;
     let mut best_h = p;
@@ -573,8 +582,8 @@ fn multi_head_cost(
             continue;
         }
         let mut c = head_cost;
-        for (slot, &q) in producer_plats.iter().enumerate() {
-            c += movement.cost(names[q], names[h], cards[s.head_inputs[slot].0]);
+        for (edge, &q) in s.edge_in.iter().zip(producer_plats) {
+            c += edge[q][h];
             if q != h {
                 c += startup[h];
             }
@@ -603,6 +612,7 @@ fn chain_table(
     chain: &[NodeId],
     platforms: &[Arc<dyn Platform>],
     cards: &[f64],
+    supported: &[Vec<bool>],
     estimator: &CardinalityEstimator,
     calibration: &CostCalibration,
     startup: &[f64],
@@ -619,21 +629,53 @@ fn chain_table(
         let ins: Vec<f64> = node.inputs.iter().map(|i| cards[i.0]).collect();
         let out = cards[node.id.0];
         for (pi, p) in platforms.iter().enumerate() {
-            if supports_deep(p.as_ref(), &node.op) {
+            if supported[nid.0][pi] {
                 op_costs[j][pi] =
                     node_cost(&node.op, &ins, out, p.as_ref(), estimator, calibration)?;
             }
         }
     }
 
+    // Entry-edge movement and, per internal edge `j-1 → j`, the full
+    // switch price `[t][r]` (movement plus the consumer-side startup):
+    // both are independent of the entry row, so price them once.
     let head = plan.node(chain[0]);
-    let entry_card = head.inputs.first().map(|i| cards[i.0]);
+    let entry = head.inputs.first().map(|i| {
+        movement_matrix(
+            &names,
+            cards[i.0],
+            movement,
+            &supported[i.0],
+            &supported[head.id.0],
+        )
+    });
+    let internal: Vec<Vec<Vec<f64>>> = chain
+        .windows(2)
+        .map(|w| {
+            let mut m = movement_matrix(
+                &names,
+                cards[w[0].0],
+                movement,
+                &supported[w[0].0],
+                &supported[w[1].0],
+            );
+            for (t, row) in m.iter_mut().enumerate() {
+                for (r, edge) in row.iter_mut().enumerate() {
+                    if t != r {
+                        *edge += startup[r];
+                    }
+                }
+            }
+            m
+        })
+        .collect();
+
     let mut cost = vec![vec![INF; n_plats]; n_plats + 1];
     let mut back = vec![vec![vec![0usize; n_plats]; k]; n_plats + 1];
     for q in 0..=n_plats {
         // Row P without a source head (or a producer row for a source
         // head) is never queried; skip the waste.
-        match entry_card {
+        match entry {
             Some(_) if q == n_plats => continue,
             None if q < n_plats => continue,
             _ => {}
@@ -644,9 +686,9 @@ fn chain_table(
                 continue;
             }
             let mut c = op_costs[0][r];
-            match entry_card {
-                Some(card_in) => {
-                    c += movement.cost(names[q], names[r], card_in);
+            match &entry {
+                Some(entry) => {
+                    c += entry[q][r];
                     if q != r {
                         c += startup[r];
                     }
@@ -655,8 +697,7 @@ fn chain_table(
             }
             *slot = c;
         }
-        for j in 1..k {
-            let card_prev = cards[chain[j - 1].0];
+        for (j, edges) in (1..k).zip(&internal) {
             let mut nxt = vec![INF; n_plats];
             for (r, slot) in nxt.iter_mut().enumerate() {
                 if !op_costs[j][r].is_finite() {
@@ -668,10 +709,7 @@ fn chain_table(
                     if !prev.is_finite() {
                         continue;
                     }
-                    let mut edge = movement.cost(names[t], names[r], card_prev);
-                    if t != r {
-                        edge += startup[r];
-                    }
+                    let edge = edges[t][r];
                     if prev + edge < best {
                         best = prev + edge;
                         best_t = t;
@@ -692,7 +730,6 @@ fn chain_table(
 /// Turn a lattice outcome into an [`ExecutionPlan`]: string assignments,
 /// per-node estimates, task atoms with channel-annotated boundaries, and
 /// the [`EnumerationInfo`] record (contraction groups + conversion routes).
-#[allow(clippy::too_many_arguments)]
 fn finish_v2(
     plan: Arc<PhysicalPlan>,
     platforms: &[Arc<dyn Platform>],
@@ -701,7 +738,6 @@ fn finish_v2(
     movement: &MovementCostModel,
     estimator: &CardinalityEstimator,
     calibration: &CostCalibration,
-    expansions: usize,
 ) -> Result<ExecutionPlan> {
     let assignments: Vec<String> = outcome
         .assignment
@@ -773,8 +809,12 @@ fn finish_v2(
         estimated_cost: outcome.total_cost,
         estimates,
         enumeration: EnumerationInfo {
-            path: EnumerationPath::LatticeV2,
-            expansions,
+            path: if outcome.capped {
+                EnumerationPath::FrontierCapped
+            } else {
+                EnumerationPath::Lattice
+            },
+            expansions: outcome.expansions,
             groups,
             conversions,
         },
@@ -784,8 +824,7 @@ fn finish_v2(
 /// The canonical objective every exact enumerator minimizes: each node
 /// priced once on its assigned platform (sources pay startup), each edge
 /// priced once (movement plus the consumer-side startup on a platform
-/// switch). The greedy DP's reported total equals this on trees and
-/// exceeds it on shared sub-DAGs.
+/// switch).
 pub fn assignment_cost(
     plan: &PhysicalPlan,
     assignments: &[String],

@@ -4,8 +4,11 @@
 //!   mappings (§4.1);
 //! * [`rewrites`] — sound UDF-algebra rewrites (§4.1/§4.2 "traditional
 //!   physical optimizations");
-//! * [`enumerate`] — platform assignment by DP with pluggable cost models
-//!   and inter-platform movement costs, plus task-atom splitting (§4.2);
+//! * [`mod@enumerate_v2`] — platform assignment (§4.2): a lattice search over
+//!   the chain-contracted plan, exact under pluggable cost models and
+//!   channel-aware inter-platform movement costs;
+//! * [`enumerate`] — the enumeration knobs, per-operator costing, and
+//!   task-atom splitting the search shares with hand-built plans;
 //! * [`replan`] — adaptive mid-job re-optimization: the executor's hook
 //!   for re-enumerating the unexecuted suffix of a running job when
 //!   observed cardinalities drift from the estimates.
@@ -32,10 +35,8 @@ use crate::plan::{ExecutionPlan, PhysicalPlan};
 use crate::platform::PlatformRegistry;
 
 pub use cache::{PlanCache, PlanCacheConfig, PlanCacheStats};
-pub use enumerate::{EnumerationConfig, EnumerationStrategy};
-pub use enumerate_v2::{
-    assignment_cost, enumerate_exhaustive, enumerate_v2, enumerate_with_config,
-};
+pub use enumerate::EnumerationConfig;
+pub use enumerate_v2::{assignment_cost, enumerate_exhaustive, enumerate_v2, MAX_FRONTIER};
 pub use replan::{ReplanPolicy, Replanner};
 
 /// The multi-platform task optimizer (core layer, §4.2).
@@ -105,14 +106,6 @@ impl MultiPlatformOptimizer {
     /// Disable algebraic rewrites.
     pub fn without_rewrites(mut self) -> Self {
         self.config.apply_rewrites = false;
-        self
-    }
-
-    /// Opt into the subplan-lattice enumerator (`enumerate_v2`): chain
-    /// contraction, channel-aware movement pricing, lossless frontier
-    /// pruning, and a budget that degrades to the greedy DP.
-    pub fn with_enumeration_v2(mut self) -> Self {
-        self.config.enumeration.strategy = enumerate::EnumerationStrategy::LatticeV2;
         self
     }
 
@@ -194,7 +187,7 @@ impl MultiPlatformOptimizer {
         // model so cross-platform edges are priced through the conversion
         // graph (a model with no declared channels keeps legacy flat pricing).
         let movement = self.movement.channelized(platforms);
-        let result = enumerate_v2::enumerate_with_config(
+        let result = enumerate_v2(
             Arc::new(plan),
             platforms,
             &self.estimator,

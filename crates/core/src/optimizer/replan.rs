@@ -40,7 +40,7 @@ use crate::plan::{AtomInput, ExecutionPlan, NodeId, PhysicalNode, PhysicalPlan, 
 use crate::platform::PlatformRegistry;
 
 use super::enumerate::EnumerationConfig;
-use super::enumerate_v2::enumerate_with_config;
+use super::enumerate_v2::enumerate_v2;
 
 /// When and how often the executor may re-optimize a running job.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -224,11 +224,11 @@ impl Replanner {
         }
         let temp = PhysicalPlan::from_nodes(temp_nodes);
         temp.validate()?;
-        // Same strategy dispatch (and channel-aware movement pricing) as
-        // the original optimization pass, so a re-plan explores the suffix
+        // Same enumerator (and channel-aware movement pricing) as the
+        // original optimization pass, so a re-plan explores the suffix
         // exactly the way the first enumeration explored the whole plan.
         let movement = self.movement.channelized(registry);
-        let suffix = enumerate_with_config(
+        let suffix = enumerate_v2(
             Arc::new(temp),
             registry,
             &self.estimator,

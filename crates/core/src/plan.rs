@@ -834,27 +834,26 @@ pub struct NodeEstimate {
     pub card: f64,
 }
 
-/// Which enumeration algorithm produced an [`ExecutionPlan`].
+/// How the enumerator's search ended for an [`ExecutionPlan`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum EnumerationPath {
-    /// The greedy DP enumerator (the historical default, and what
-    /// hand-built plans report).
+    /// The lattice search ran to completion: the plan is optimal under the
+    /// cost model (also what hand-built plans report).
     #[default]
-    Greedy,
-    /// The v2 subplan-lattice enumerator with lossless pruning.
-    LatticeV2,
-    /// The v2 enumerator exhausted its budget and degraded gracefully to
-    /// the greedy DP.
-    GreedyFallback,
+    Lattice,
+    /// Some step's frontier exceeded
+    /// [`MAX_FRONTIER`](crate::optimizer::enumerate_v2::MAX_FRONTIER) and
+    /// was cut to its cheapest states: still deterministic, possibly not
+    /// optimal.
+    FrontierCapped,
 }
 
 impl EnumerationPath {
     /// Stable display name (used in stats, traces, and explains).
     pub fn as_str(&self) -> &'static str {
         match self {
-            EnumerationPath::Greedy => "greedy-dp",
-            EnumerationPath::LatticeV2 => "lattice-v2",
-            EnumerationPath::GreedyFallback => "greedy-fallback",
+            EnumerationPath::Lattice => "lattice-v2",
+            EnumerationPath::FrontierCapped => "frontier-capped",
         }
     }
 }
@@ -866,7 +865,7 @@ impl fmt::Display for EnumerationPath {
 }
 
 /// A chosen channel conversion route for one cross-platform boundary edge
-/// (recorded by the v2 enumerator for explain rendering and runner-side
+/// (recorded by the enumerator for explain rendering and runner-side
 /// channel accounting).
 #[derive(Clone, Debug)]
 pub struct ChannelConversion {
@@ -887,14 +886,14 @@ pub struct ChannelConversion {
     pub cost_ms: f64,
 }
 
-/// How an [`ExecutionPlan`] was enumerated: which algorithm ran, how much
-/// search it did, and what structure it exploited. Defaults describe the
-/// greedy DP (no contraction, no recorded conversions).
+/// How an [`ExecutionPlan`] was enumerated: how the search ended, how much
+/// of it there was, and what structure it exploited. Defaults describe a
+/// hand-built plan (no search, no contraction, no recorded conversions).
 #[derive(Clone, Debug, Default)]
 pub struct EnumerationInfo {
-    /// The algorithm that produced the plan.
+    /// How the search ended.
     pub path: EnumerationPath,
-    /// Lattice state expansions performed (0 for the greedy DP).
+    /// Lattice state expansions performed (0 for hand-built plans).
     pub expansions: usize,
     /// Maximal linear chains contracted into super-nodes before the
     /// search (only chains of ≥ 2 nodes are recorded).

@@ -68,7 +68,7 @@ impl OverheadConfig {
     /// given channel (the last hop of the conversion route the optimizer
     /// chose, see [`rheem_core::plan::AtomInput::channel`]). Memory is
     /// free — which keeps plans enumerated without channel information
-    /// (the greedy DP defaults every boundary to `Memory`) priced exactly
+    /// (hand-built plans default every boundary to `Memory`) priced exactly
     /// as before. File pays a deserialize, Stream a drain; the constants
     /// mirror the default [`rheem_core::cost::ChannelConversionGraph`]
     /// prices so the executor's accounting matches what the optimizer

@@ -2,8 +2,9 @@
 //! DAG-shaped plans, the execution plan must (a) assign every node a
 //! registered platform that supports its operator, (b) partition the nodes
 //! into task atoms exactly, (c) schedule atoms in a dependency-respecting
-//! order with same-platform nodes per atom, and (d) execute to the same
-//! bag of records as the reference interpreter.
+//! order with same-platform nodes per atom, (d) report the canonical cost
+//! of its own assignment, and (e) execute to the same bag of records as
+//! the reference interpreter.
 
 use std::collections::HashSet;
 
@@ -11,7 +12,7 @@ use proptest::prelude::*;
 use rheem::prelude::*;
 use rheem::rec;
 use rheem_core::plan::{NodeId, PhysicalPlan};
-use rheem_core::ExecutionPlan;
+use rheem_core::{assignment_cost, enumerate_exhaustive, EnumerationPath, ExecutionPlan};
 use rheem_platforms::test_context;
 
 /// Operations of the random plan generator. Unary ops apply to the newest
@@ -168,8 +169,17 @@ fn check_invariants(exec: &ExecutionPlan, ctx: &RheemContext) {
         }
     }
 
-    // (d) Cost is a sane number.
+    // (d) Cost is a sane number, and it is the canonical cost of the
+    // plan's own assignment: every node and edge priced exactly once, so a
+    // shared sub-DAG is never counted once per consumer.
     assert!(exec.estimated_cost.is_finite() && exec.estimated_cost >= 0.0);
+    let canonical = canonical_cost(ctx, exec);
+    let tol = 1e-9 * canonical.abs().max(exec.estimated_cost.abs()).max(1.0);
+    assert!(
+        (exec.estimated_cost - canonical).abs() <= tol,
+        "reported cost {} is not the canonical cost {canonical} of its assignment",
+        exec.estimated_cost
+    );
 }
 
 proptest! {
@@ -237,8 +247,6 @@ proptest! {
 
 // ------------------------------------------------- cost-accounting gates
 
-use rheem_core::{assignment_cost, EnumerationPath};
-
 /// Canonical cost of an execution plan's own assignment, priced with the
 /// same channelized movement model `optimize` uses.
 fn canonical_cost(ctx: &RheemContext, exec: &ExecutionPlan) -> f64 {
@@ -284,63 +292,18 @@ fn diamond_plan() -> PhysicalPlan {
     b.build().unwrap()
 }
 
-/// KNOWN DIVERGENCE, documented and gated here: the greedy DP accumulates
-/// each node's *subtree* cost into every consumer, so a shared sub-DAG is
-/// counted once per consumer and the reported `estimated_cost` exceeds the
-/// canonical [`assignment_cost`] of the very assignment it returns. The
-/// chosen assignment is still valid — only the reported total is inflated
-/// on diamonds. The v2 lattice enumerator prices each node and edge
-/// exactly once; its report must equal the canonical cost, and its chosen
-/// plan can only be cheaper or equal.
+/// A shared sub-DAG is priced once: the reported cost of the diamond is
+/// the canonical cost of its assignment (checked by `check_invariants`),
+/// not the shared prefix counted once per consumer.
 #[test]
-fn greedy_over_reports_shared_subdags_v2_does_not() {
-    let plan = diamond_plan();
-
-    let greedy_ctx = no_rewrite_context();
-    let greedy = greedy_ctx.optimize(plan.clone()).unwrap();
-    let greedy_canonical = canonical_cost(&greedy_ctx, &greedy);
-    assert!(
-        greedy.estimated_cost > greedy_canonical + 1e-9,
-        "greedy no longer double-counts the shared prefix ({} vs {}); \
-         if the DP was fixed, flip this gate to assert equality",
-        greedy.estimated_cost,
-        greedy_canonical
-    );
-
-    let mut v2_ctx = no_rewrite_context();
-    let optimizer = std::mem::take(v2_ctx.optimizer_mut());
-    *v2_ctx.optimizer_mut() = optimizer.with_enumeration_v2();
-    let v2 = v2_ctx.optimize(plan).unwrap();
-    assert_eq!(v2.enumeration.path, EnumerationPath::LatticeV2);
-    let v2_canonical = canonical_cost(&v2_ctx, &v2);
-    let tol = 1e-9 * v2_canonical.max(1.0);
-    assert!(
-        (v2.estimated_cost - v2_canonical).abs() <= tol,
-        "v2 report must be the canonical cost of its assignment: {} vs {}",
-        v2.estimated_cost,
-        v2_canonical
-    );
-    assert!(
-        v2_canonical <= greedy_canonical + tol,
-        "v2 ({v2_canonical}) must not lose to greedy ({greedy_canonical})"
-    );
+fn shared_subdags_are_priced_once() {
+    let ctx = no_rewrite_context();
+    let exec = ctx.optimize(diamond_plan()).unwrap();
+    assert_eq!(exec.enumeration.path, EnumerationPath::Lattice);
+    check_invariants(&exec, &ctx);
 }
 
-/// Chain-only op scripts: every node has exactly one consumer, so the
-/// greedy subtree accumulation has nothing to double-count.
-fn gen_chain_op() -> impl Strategy<Value = GenOp> {
-    prop_oneof![
-        Just(GenOp::MapInc),
-        Just(GenOp::FilterHalf),
-        Just(GenOp::GroupCount),
-        Just(GenOp::Sort),
-        Just(GenOp::Distinct),
-    ]
-}
-
-/// A true chain: single source, unary ops, ONE sink. [`build_plan`] adds a
-/// second sink on longer scripts, which introduces a shared sub-DAG and
-/// re-triggers the greedy divergence this section gates.
+/// A true chain: single source, unary ops, ONE sink.
 fn build_chain(ops: &[GenOp]) -> PhysicalPlan {
     let mut b = PlanBuilder::new();
     let mut top = b.collection("seed", (0..30i64).map(|i| rec![i % 7, 1i64]).collect());
@@ -371,31 +334,43 @@ fn build_chain(ops: &[GenOp]) -> PhysicalPlan {
     b.build().expect("chain is structurally valid")
 }
 
+fn gen_chain_op() -> impl Strategy<Value = GenOp> {
+    prop_oneof![
+        Just(GenOp::MapInc),
+        Just(GenOp::FilterHalf),
+        Just(GenOp::GroupCount),
+        Just(GenOp::Sort),
+        Just(GenOp::Distinct),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
-    /// On trees (here: chains) the greedy DP is exact, so both strategies
-    /// must report the same total — and both must equal the canonical
-    /// assignment cost.
+    /// A chain contracts into one super-node whose inner DP is the whole
+    /// search: its optimum must be the exhaustive oracle's, and its report
+    /// the canonical cost of its own assignment.
     #[test]
-    fn prop_greedy_and_v2_agree_on_chains(
-        ops in proptest::collection::vec(gen_chain_op(), 0..8),
+    fn prop_chain_plans_match_exhaustive_oracle(
+        ops in proptest::collection::vec(gen_chain_op(), 0..5),
     ) {
         let plan = build_chain(&ops);
+        let ctx = no_rewrite_context();
+        let exec = ctx.optimize(plan.clone()).expect("optimizes");
+        check_invariants(&exec, &ctx);
 
-        let greedy_ctx = no_rewrite_context();
-        let greedy = greedy_ctx.optimize(plan.clone()).expect("greedy optimizes");
-
-        let mut v2_ctx = no_rewrite_context();
-        let optimizer = std::mem::take(v2_ctx.optimizer_mut());
-        *v2_ctx.optimizer_mut() = optimizer.with_enumeration_v2();
-        let v2 = v2_ctx.optimize(plan).expect("v2 optimizes");
-
-        let tol = 1e-9 * greedy.estimated_cost.max(1.0);
-        prop_assert!((greedy.estimated_cost - v2.estimated_cost).abs() <= tol,
-            "greedy {} vs v2 {}", greedy.estimated_cost, v2.estimated_cost);
-        let canonical = canonical_cost(&v2_ctx, &v2);
-        prop_assert!((v2.estimated_cost - canonical).abs() <= tol,
-            "v2 {} vs canonical {}", v2.estimated_cost, canonical);
+        let opt = ctx.optimizer();
+        let (_, oracle) = enumerate_exhaustive(
+            &plan,
+            ctx.platforms(),
+            &opt.estimator,
+            &opt.movement.channelized(ctx.platforms()),
+            &opt.config.enumeration,
+            &opt.calibration,
+        )
+        .expect("oracle enumerates");
+        let tol = 1e-9 * oracle.max(1.0);
+        prop_assert!((exec.estimated_cost - oracle).abs() <= tol,
+            "lattice {} vs oracle {}", exec.estimated_cost, oracle);
     }
 }
